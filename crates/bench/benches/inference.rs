@@ -49,7 +49,7 @@ fn bench_inference(c: &mut Criterion) {
                         .collect::<Vec<_>>()
                 })
             });
-            let mut m = model(hidden, layers);
+            let m = model(hidden, layers);
             group.bench_function(format!("fused_b{batch_size}_h{hidden}_l{layers}"), |b| {
                 b.iter(|| {
                     let batch = GraphBatch::from_graphs(&graphs).unwrap();

@@ -22,9 +22,16 @@ use pnp_ir::{try_lower_kernel, RegionSource};
 use pnp_openmp::OmpConfig;
 use pnp_tuners::{ConfigPoint, SearchSpace};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// What one tune request optimizes for.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// Also the objective-grouping key of every batched path: requests with
+/// equal objectives share one committee, so [`TuneService::tune_batch`] and
+/// the `pnp-serve` dispatcher both group by it in a `BTreeMap`. The derived
+/// order — every `Time` cap by ascending `power_idx`, then `Edp` — makes
+/// that dispatch order deterministic.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum TuneObjective {
     /// Best execution time at power level `power_idx` of the machine's
     /// search space (scenario 1).
@@ -369,15 +376,16 @@ fn blend_with_prior(sum: &[f64], n: f64, prior: &[f64]) -> usize {
 /// per layer instead of one small matmul per graph per model. Per graph the
 /// f64 probability accumulation still happens in model order and the
 /// prior-blend argmax is byte-for-byte the single-graph loop, so batching
-/// changes the schedule, never the prediction.
+/// changes the schedule, never the prediction. The models are only read, so
+/// any number of threads may run batches over one committee at once.
 pub fn committee_predict_batch(
-    models: &mut [PnPModel],
+    models: &[PnPModel],
     graphs: &[&EncodedGraph],
     prior: &[f64],
 ) -> Result<Vec<usize>, BatchError> {
     let batch = GraphBatch::from_graphs(graphs)?;
     let mut sums = vec![vec![0.0f64; prior.len()]; graphs.len()];
-    for model in models.iter_mut() {
+    for model in models {
         let probs = model.predict_proba_batch(&batch, None);
         for (sum, row) in sums.iter_mut().zip(&probs) {
             for (s, &p) in sum.iter_mut().zip(row) {
@@ -395,8 +403,9 @@ pub fn committee_predict_batch(
 /// One machine's ready-to-serve inference state: the static scenario-1 and
 /// scenario-2 fold committees restored from their cached grids, the serving
 /// tables, and the search space. This is the *single* prediction path —
-/// the daemon wraps it in replicas and a socket; the bit-identity tests
-/// call it directly.
+/// the daemon shares one per machine across all its batch workers
+/// ([`TuneService::tune_batch`] takes `&self`) and wraps it in a socket;
+/// the bit-identity tests call it directly.
 pub struct TuneService {
     machine: String,
     space: SearchSpace,
@@ -559,34 +568,27 @@ impl TuneService {
     /// [`TuneService::tune`] on that request alone (DESIGN.md §15).
     /// Per-request failures — malformed kernels, out-of-range power
     /// indices — fill their own slot without failing the rest of the batch.
+    /// The service is only read, so batch workers share one instance.
     pub fn tune_batch(
-        &mut self,
+        &self,
         requests: &[(&KernelInput, TuneObjective)],
     ) -> Vec<Result<TunePrediction, String>> {
         let mut slots: Vec<Option<Result<TunePrediction, String>>> =
             (0..requests.len()).map(|_| None).collect();
 
         // Resolve every kernel up front; failures settle their slot now.
-        // Objective key: (0, power_idx) for time, (1, 0) for EDP.
         let mut graphs: Vec<Option<EncodedGraph>> = Vec::with_capacity(requests.len());
-        let mut groups: std::collections::BTreeMap<(usize, usize), Vec<usize>> =
-            std::collections::BTreeMap::new();
+        let mut groups: BTreeMap<TuneObjective, Vec<usize>> = BTreeMap::new();
         for (i, (kernel, objective)) in requests.iter().enumerate() {
-            let key = match objective {
-                TuneObjective::Time { power_idx } => {
-                    if let Err(why) = self.check_power_idx(*power_idx) {
-                        slots[i] = Some(Err(why));
-                        graphs.push(None);
-                        continue;
-                    }
-                    (0, *power_idx)
-                }
-                TuneObjective::Edp => (1, 0),
-            };
-            match resolve_graph(kernel, &self.vocab) {
+            let resolved = match objective {
+                TuneObjective::Time { power_idx } => self.check_power_idx(*power_idx),
+                TuneObjective::Edp => Ok(()),
+            }
+            .and_then(|()| resolve_graph(kernel, &self.vocab));
+            match resolved {
                 Ok(graph) => {
                     graphs.push(Some(graph));
-                    groups.entry(key).or_default().push(i);
+                    groups.entry(*objective).or_default().push(i);
                 }
                 Err(why) => {
                     slots[i] = Some(Err(why));
@@ -595,29 +597,31 @@ impl TuneService {
             }
         }
 
-        for ((objective_kind, power_idx), indices) in groups {
+        for (objective, indices) in groups {
             // Grouped requests all resolved a graph; pairing index and graph
             // through one filter keeps them aligned without a panic path.
             let (indices, group): (Vec<usize>, Vec<&EncodedGraph>) = indices
                 .iter()
                 .filter_map(|&i| graphs.get(i).and_then(|g| g.as_ref()).map(|g| (i, g)))
                 .unzip();
-            let classes = if objective_kind == 0 {
-                committee_predict_batch(
-                    &mut self.time[power_idx],
+            let classes = match objective {
+                TuneObjective::Time { power_idx } => committee_predict_batch(
+                    &self.time[power_idx],
                     &group,
                     &self.tables.time_priors[power_idx],
-                )
-            } else {
-                committee_predict_batch(&mut self.edp, &group, &self.tables.edp_prior)
+                ),
+                TuneObjective::Edp => {
+                    committee_predict_batch(&self.edp, &group, &self.tables.edp_prior)
+                }
             };
             match classes {
                 Ok(classes) => {
                     for (&i, class) in indices.iter().zip(classes) {
-                        slots[i] = Some(Ok(if objective_kind == 0 {
-                            self.time_prediction(power_idx, class)
-                        } else {
-                            self.edp_prediction(class)
+                        slots[i] = Some(Ok(match objective {
+                            TuneObjective::Time { power_idx } => {
+                                self.time_prediction(power_idx, class)
+                            }
+                            TuneObjective::Edp => self.edp_prediction(class),
                         }));
                     }
                 }
@@ -831,7 +835,7 @@ mod tests {
         let graphs: Vec<&EncodedGraph> = ds.regions.iter().map(|r| &r.graph).collect();
         for p in 0..ds.space.power_levels.len() {
             let prior = service.tables.time_priors[p].clone();
-            let batched = committee_predict_batch(&mut service.time[p], &graphs, &prior).unwrap();
+            let batched = committee_predict_batch(&service.time[p], &graphs, &prior).unwrap();
             let single: Vec<usize> = graphs
                 .iter()
                 .map(|g| committee_predict(&mut service.time[p], g, &prior))
@@ -839,7 +843,7 @@ mod tests {
             assert_eq!(batched, single, "power level {p}");
         }
         let prior = service.tables.edp_prior.clone();
-        let batched = committee_predict_batch(&mut service.edp, &graphs, &prior).unwrap();
+        let batched = committee_predict_batch(&service.edp, &graphs, &prior).unwrap();
         let single: Vec<usize> = graphs
             .iter()
             .map(|g| committee_predict(&mut service.edp, g, &prior))

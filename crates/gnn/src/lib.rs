@@ -44,6 +44,15 @@
 //! the readout pools per segment, every batched output row is bit-identical
 //! to the single-graph path (DESIGN.md §15) — batching, like threading, is
 //! a scheduling decision, never a numerical one.
+//!
+//! Every layer splits its forward into a `&self` compute (`infer`) and the
+//! backward-cache store that only training runs, and both paths call the
+//! same compute. Batched inference uses the compute alone, so
+//! [`PnPModel::forward_batch`] and [`PnPModel::predict_proba_batch`] take
+//! `&self`: one model, shared by reference, serves any number of threads at
+//! once (the serve engine restores each machine's committee once and every
+//! batch worker reads it). The single-graph [`PnPModel::forward`] keeps `&mut self`
+//! because training runs through it; it stays the bit-identity reference.
 
 pub mod batch;
 pub mod metrics;

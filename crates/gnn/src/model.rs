@@ -62,9 +62,8 @@ pub struct PnPModel {
     dropout: Dropout,
     fc_layers: Vec<Linear>,
     fc_activations: Vec<ReLU>,
-    // caches for backward
+    // cache for backward
     cached_dyn_len: usize,
-    cached_h0_rows: usize,
 }
 
 impl PnPModel {
@@ -110,7 +109,6 @@ impl PnPModel {
             fc_layers,
             fc_activations,
             cached_dyn_len: 0,
-            cached_h0_rows: 0,
         }
     }
 
@@ -140,20 +138,11 @@ impl PnPModel {
             graph.num_nodes() > 0,
             "cannot run the model on an empty graph"
         );
-        let dyn_feats = dynamic_features.unwrap_or(&[]);
-        assert_eq!(
-            dyn_feats.len(),
-            self.config.num_dynamic_features,
-            "expected {} dynamic features, got {}",
-            self.config.num_dynamic_features,
-            dyn_feats.len()
-        );
 
         // Node features: token embedding + kind embedding.
         let tok = self.token_embedding.lookup(&graph.tokens, train);
         let kind = self.kind_embedding.lookup(&graph.kinds, train);
         let mut h = tok.add(&kind);
-        self.cached_h0_rows = h.rows();
 
         // RGCN stack.
         for (layer, act) in self
@@ -165,25 +154,26 @@ impl PnPModel {
             h = act.forward(&z, train);
         }
 
-        // Readout (+ dropout) and optional dynamic features.
         let pooled = self.readout.forward(&h, train);
-        let pooled = self.dropout.forward(&pooled, train);
-        self.cached_dyn_len = dyn_feats.len();
-        let mut x = if dyn_feats.is_empty() {
-            pooled
-        } else {
-            let dyn_row = Tensor::from_vec(dyn_feats.to_vec(), &[1, dyn_feats.len()]);
-            pooled.concat_cols(&dyn_row)
-        };
+        self.head_forward(&pooled, dynamic_features, train)
+    }
 
-        // Dense classifier.
-        for i in 0..self.fc_layers.len() {
-            x = self.fc_layers[i].forward(&x, train);
-            if i < self.fc_activations.len() {
-                x = self.fc_activations[i].forward(&x, train);
-            }
+    /// The inference trunk shared by [`PnPModel::pooled_features`] and
+    /// [`PnPModel::forward_batch`]: embeddings → RGCN stack over one
+    /// (possibly block-diagonal) graph, returning the final node states.
+    fn node_states(
+        &self,
+        tokens: &[usize],
+        kinds: &[usize],
+        relations: &[Vec<(usize, usize)>],
+    ) -> Tensor {
+        let tok = self.token_embedding.infer(tokens);
+        let kind = self.kind_embedding.infer(kinds);
+        let mut h = tok.add(&kind);
+        for (layer, act) in self.rgcn_layers.iter().zip(&self.rgcn_activations) {
+            h = act.infer(&layer.infer(&h, relations));
         }
-        x
+        h
     }
 
     /// Runs only the GNN half of the model (embeddings → RGCN stack →
@@ -196,29 +186,18 @@ impl PnPModel {
     /// mechanism behind the paper's transfer-learning speedup (§IV-B): only
     /// the dense classifier is re-trained, and the expensive graph layers run
     /// once per sample instead of once per sample per epoch.
-    pub fn pooled_features(&mut self, graph: &EncodedGraph) -> Tensor {
+    pub fn pooled_features(&self, graph: &EncodedGraph) -> Tensor {
         assert!(
             graph.num_nodes() > 0,
             "cannot run the model on an empty graph"
         );
-        let tok = self.token_embedding.lookup(&graph.tokens, false);
-        let kind = self.kind_embedding.lookup(&graph.kinds, false);
-        let mut h = tok.add(&kind);
-        for (layer, act) in self
-            .rgcn_layers
-            .iter_mut()
-            .zip(self.rgcn_activations.iter_mut())
-        {
-            let z = layer.forward(&h, &graph.relations, false);
-            h = act.forward(&z, false);
-        }
-        self.readout.forward(&h, false)
+        let h = self.node_states(&graph.tokens, &graph.kinds, &graph.relations);
+        self.readout.infer(&h)
     }
 
     /// Forward pass of the classifier head only (dropout → dynamic-feature
     /// concat → dense stack) over a pooled graph representation from
-    /// [`PnPModel::pooled_features`]. Mirrors the tail of
-    /// [`PnPModel::forward`] exactly.
+    /// [`PnPModel::pooled_features`]; the tail of [`PnPModel::forward`].
     pub fn head_forward(
         &mut self,
         pooled: &Tensor,
@@ -311,9 +290,11 @@ impl PnPModel {
     ///
     /// `dynamic_features`, when present, must hold one row of
     /// `config.num_dynamic_features` values per graph, in batch order.
-    /// Inference-only: no caches are written and dropout is the identity.
+    /// Inference-only: the model is only read (no backward cache is
+    /// written and dropout is the identity), so one model can serve any
+    /// number of threads at once.
     pub fn forward_batch(
-        &mut self,
+        &self,
         batch: &GraphBatch,
         dynamic_features: Option<&[Vec<f32>]>,
     ) -> Tensor {
@@ -342,38 +323,23 @@ impl PnPModel {
             ),
         }
 
-        // Node features for the whole batch: one concatenated lookup.
-        let tok = self.token_embedding.lookup(batch.tokens(), false);
-        let kind = self.kind_embedding.lookup(batch.kinds(), false);
-        let mut h = tok.add(&kind);
-
-        // RGCN stack over the merged block-diagonal edge lists.
-        for (layer, act) in self
-            .rgcn_layers
-            .iter_mut()
-            .zip(self.rgcn_activations.iter_mut())
-        {
-            let z = layer.forward(&h, batch.relations(), false);
-            h = act.forward(&z, false);
-        }
-
-        // Per-segment readout (+ identity dropout) and optional dynamic
-        // features, one row per graph.
+        // One trunk pass over the merged block-diagonal graph, then a
+        // per-segment readout and the optional dynamic features, one row
+        // per graph.
+        let h = self.node_states(batch.tokens(), batch.kinds(), batch.relations());
         let pooled = self.readout.forward_segments(&h, batch.segments());
-        let pooled = self.dropout.forward(&pooled, false);
         let mut x = match dynamic_features {
             Some(rows) if self.config.num_dynamic_features > 0 => {
-                let dyn_rows = Tensor::from_rows(rows);
-                pooled.concat_cols(&dyn_rows)
+                pooled.concat_cols(&Tensor::from_rows(rows))
             }
             _ => pooled,
         };
 
         // Dense classifier.
-        for i in 0..self.fc_layers.len() {
-            x = self.fc_layers[i].forward(&x, false);
-            if i < self.fc_activations.len() {
-                x = self.fc_activations[i].forward(&x, false);
+        for (i, fc) in self.fc_layers.iter().enumerate() {
+            x = fc.infer(&x);
+            if let Some(act) = self.fc_activations.get(i) {
+                x = act.infer(&x);
             }
         }
         x
@@ -419,7 +385,7 @@ impl PnPModel {
     /// assert_eq!(batched[1], model.predict_proba(&b, None));
     /// ```
     pub fn predict_proba_batch(
-        &mut self,
+        &self,
         batch: &GraphBatch,
         dynamic_features: Option<&[Vec<f32>]>,
     ) -> Vec<Vec<f32>> {

@@ -31,11 +31,9 @@ impl MeanReadout {
         }
     }
 
-    /// Pools `(num_nodes x d)` node features into a `(1 x d)` graph vector.
-    pub fn forward(&mut self, h: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_num_nodes = h.rows();
-        }
+    /// Pools `(num_nodes x d)` node features into a `(1 x d)` graph vector
+    /// without touching the backward cache.
+    pub fn infer(&self, h: &Tensor) -> Tensor {
         let pooled = if self.sum_pool {
             h.sum_rows()
         } else {
@@ -44,14 +42,23 @@ impl MeanReadout {
         pooled.reshape(&[1, h.cols()])
     }
 
+    /// Pools `(num_nodes x d)` node features into a `(1 x d)` graph vector;
+    /// with `train` it also stores the node count for
+    /// [`MeanReadout::backward`].
+    pub fn forward(&mut self, h: &Tensor, train: bool) -> Tensor {
+        if train {
+            self.cached_num_nodes = h.rows();
+        }
+        self.infer(h)
+    }
+
     /// Pools a block-diagonal batch of node features into one graph vector
     /// per segment: row `i` of the `(B x d)` result is exactly what
-    /// [`MeanReadout::forward`] would produce for the node rows
+    /// [`MeanReadout::infer`] would produce for the node rows
     /// `segments[i]..segments[i + 1]` alone, bit for bit (the segment
     /// reductions reuse the single-graph accumulation order; DESIGN.md §15).
     ///
-    /// Inference-only: does not touch the backward cache, so it takes
-    /// `&self`.
+    /// Inference-only, like [`MeanReadout::infer`].
     pub fn forward_segments(&self, h: &Tensor, segments: &[usize]) -> Tensor {
         if self.sum_pool {
             h.segment_sum_rows(segments)

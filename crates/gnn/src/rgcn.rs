@@ -92,14 +92,10 @@ impl RgcnLayer {
             .collect()
     }
 
-    /// Forward pass over node features `h` (`num_nodes x d_in`) and edges
-    /// grouped by relation.
-    pub fn forward(
-        &mut self,
-        h: &Tensor,
-        relations: &[Vec<(usize, usize)>],
-        train: bool,
-    ) -> Tensor {
+    /// Layer output plus the per-relation inverse in-degrees it used — the
+    /// `&self` compute shared by [`RgcnLayer::infer`] and
+    /// [`RgcnLayer::forward`].
+    fn compute(&self, h: &Tensor, relations: &[Vec<(usize, usize)>]) -> (Tensor, Vec<Vec<f32>>) {
         assert_eq!(h.cols(), self.d_in(), "RGCN input dimension mismatch");
         assert_eq!(
             relations.len(),
@@ -132,7 +128,26 @@ impl RgcnLayer {
                 out.axpy_row(d, norm, messages.row(s));
             }
         }
+        (out, inv_deg)
+    }
 
+    /// Inference forward over node features `h` (`num_nodes x d_in`) and
+    /// edges grouped by relation; reads the weights only, so any number of
+    /// threads may share one layer.
+    pub fn infer(&self, h: &Tensor, relations: &[Vec<(usize, usize)>]) -> Tensor {
+        self.compute(h, relations).0
+    }
+
+    /// Forward pass over node features `h` (`num_nodes x d_in`) and edges
+    /// grouped by relation; with `train` it also stores what
+    /// [`RgcnLayer::backward`] needs.
+    pub fn forward(
+        &mut self,
+        h: &Tensor,
+        relations: &[Vec<(usize, usize)>],
+        train: bool,
+    ) -> Tensor {
+        let (out, inv_deg) = self.compute(h, relations);
         if train {
             self.cached_input = Some(h.clone());
             self.cached_relations = Some(relations.to_vec());

@@ -124,7 +124,7 @@ fn matmul_thread_count_never_changes_batched_output() {
         "batch must be tall enough to exercise the parallel matmul"
     );
 
-    let mut model = PnPModel::new(config(0, 44));
+    let model = PnPModel::new(config(0, 44));
     set_matmul_threads(1);
     let serial = model.predict_proba_batch(&batch, None);
     for threads in [2usize, 4, 8] {
@@ -133,6 +133,49 @@ fn matmul_thread_count_never_changes_batched_output() {
         assert_rows_bit_identical(&parallel, &serial, &format!("{threads} matmul threads"));
     }
     set_matmul_threads(1);
+}
+
+#[test]
+fn one_shared_model_serves_concurrent_threads_bit_identically() {
+    // `predict_proba_batch` only reads the model, so many threads may share
+    // one `&PnPModel` (the serve engine's one service per machine) and each
+    // must see exactly the serial result.
+    let model = PnPModel::new(config(0, 45));
+    let batches: Vec<GraphBatch> = [1usize, 3, 7, 16]
+        .iter()
+        .map(|&size| {
+            let graphs: Vec<EncodedGraph> = (0..size).map(toy_graph).collect();
+            GraphBatch::from_graphs(&graphs.iter().collect::<Vec<_>>()).unwrap()
+        })
+        .collect();
+    let serial: Vec<Vec<Vec<f32>>> = batches
+        .iter()
+        .map(|batch| model.predict_proba_batch(batch, None))
+        .collect();
+    let shared = &model;
+    let threads = 4;
+    // All threads start reading the model at the same moment.
+    let start = std::sync::Barrier::new(threads);
+    let concurrent: Vec<Vec<Vec<Vec<f32>>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    (0..8)
+                        .flat_map(|_| &batches)
+                        .map(|batch| shared.predict_proba_batch(batch, None))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (t, rounds) in concurrent.iter().enumerate() {
+        for (k, rows) in rounds.iter().enumerate() {
+            let b = k % batches.len();
+            assert_rows_bit_identical(rows, &serial[b], &format!("thread {t} call {k}"));
+        }
+    }
 }
 
 #[test]

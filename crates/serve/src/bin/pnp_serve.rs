@@ -5,9 +5,13 @@
 //!
 //! ```text
 //! pnp_serve --store DIR [--addr 127.0.0.1:0] [--port-file PATH]
-//!           [--replicas N] [--workers N] [--max-batch N] [--max-queue N]
+//!           [--workers N] [--max-batch N] [--max-queue N]
 //!           [--reload-poll-ms MS] [--stdio]
 //! ```
+//!
+//! Each machine is served by one `TuneService` that every batch worker
+//! reads at once; `--workers` alone sets the inference parallelism. Any
+//! other flag is refused.
 //!
 //! `--store` falls back to the `PNP_STORE` environment variable. With
 //! `--addr` port 0 (the default) the OS picks a free port; `--port-file`
@@ -33,6 +37,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Every flag the daemon understands; anything else is refused.
+const FLAGS: &[&str] = &[
+    "--store",
+    "--addr",
+    "--port-file",
+    "--workers",
+    "--max-batch",
+    "--max-queue",
+    "--reload-poll-ms",
+    "--stdio",
+];
+
 fn usize_flag(args: &[String], flag: &str, default: usize) -> usize {
     string_flag_from(args, flag)
         .map(|v| {
@@ -48,6 +64,17 @@ fn main() {
         "tuning-as-a-service daemon on the model registry",
     );
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let unknown = args.iter().find(|arg| {
+        let name = arg.split('=').next().unwrap_or_default();
+        arg.starts_with("--") && !FLAGS.contains(&name)
+    });
+    if let Some(flag) = unknown {
+        eprintln!(
+            "[pnp-serve] unknown flag {flag} (accepted: {})",
+            FLAGS.join(" ")
+        );
+        std::process::exit(2);
+    }
     let store = match string_flag_from(&args, "--store") {
         Some(dir) => Store::open(dir).with_env_modes(),
         None => Store::from_env().unwrap_or_else(|| {
@@ -58,7 +85,6 @@ fn main() {
     eprintln!("[pnp-serve] store: {}", store.root().display());
 
     let config = EngineConfig {
-        replicas: usize_flag(&args, "--replicas", 0),
         workers: usize_flag(&args, "--workers", 0),
     };
     let max_batch = usize_flag(&args, "--max-batch", DEFAULT_MAX_BATCH).max(1);

@@ -4,24 +4,24 @@
 //! At startup the engine walks the [`ModelRegistry`], loads every machine's
 //! dataset once, restores **every** model grid in the store (fit-checking
 //! each — an unfit or corrupt checkpoint is skipped with a log line, never
-//! misapplied), and builds a pool of [`TuneService`] replicas per machine.
-//! Requests are then served by [`ServeEngine::tune_batch`]: the batch is
-//! partitioned by machine, each machine's requests are grouped by objective,
-//! and the groups fan out over the in-tree `pnp_openmp` pool via
-//! `parallel_map_with_state`, each worker checking out whichever replica is
-//! free and running its whole group as one fused block-diagonal forward
+//! misapplied), and restores one [`TuneService`] per machine. Requests are
+//! then served by [`ServeEngine::tune_batch`]: the batch is partitioned by
+//! machine, each machine's requests are grouped by objective, and the
+//! groups fan out over the in-tree `pnp_openmp` pool via `parallel_map`,
+//! every worker reading the machine's one shared service and running its
+//! whole group as one fused block-diagonal forward
 //! ([`TuneService::tune_batch`], DESIGN.md §15) — one tall matmul per
-//! relation per layer instead of one small matmul per request. All replicas
-//! are restored from the same grids and the fused forward is bit-identical
-//! to the single-graph one, so the response vector is bit-identical for
-//! every worker/replica count and batch composition — and identical to the
-//! offline [`TuneService::tune`] path (DESIGN.md §14).
+//! relation per layer instead of one small matmul per request. Inference
+//! only reads the frozen weights, so no worker ever waits on another, and
+//! the fused forward is bit-identical to the single-graph one: the response
+//! vector is bit-identical for every worker count and batch composition —
+//! and identical to the offline [`TuneService::tune`] path (DESIGN.md §14).
 //!
-//! The registry and replica pools are one atomically swappable snapshot:
+//! The registry and services are one atomically swappable snapshot:
 //! [`ServeEngine::reload`] rebuilds them *off* the serving path from a
 //! fresh registry and swaps the snapshot in one write-lock critical
-//! section, so in-flight batches finish on the pools they started with and
-//! new batches see the new grids — no restart, no dropped request
+//! section, so in-flight batches finish on the services they started with
+//! and new batches see the new grids — no restart, no dropped request
 //! (DESIGN.md §17). [`ServeEngine::spawn_reload_watcher`] automates this by
 //! polling the store's index generation ([`pnp_store::StoreIndex`]).
 
@@ -29,11 +29,11 @@ use pnp_core::registry::{ModelDescriptor, ModelRegistry};
 use pnp_core::serving::{
     restore_grid, GridPipeline, KernelInput, TuneObjective, TuneRequest, TuneResponse, TuneService,
 };
-use pnp_openmp::{parallel_map_with_state, Threads};
+use pnp_openmp::{parallel_map, Threads};
 use pnp_store::{Store, StoreIndex};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::thread;
 use std::time::Duration;
 
@@ -42,9 +42,6 @@ use crate::protocol::{ServeStats, PROTOCOL_VERSION};
 /// Startup knobs of the engine.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineConfig {
-    /// [`TuneService`] replicas per machine; 0 means one per available
-    /// core. More replicas let more batch workers predict concurrently.
-    pub replicas: usize,
     /// Initial batch worker count; 0 means one per available core.
     /// Adjustable at runtime via the `SetWorkers` request.
     pub workers: usize,
@@ -70,23 +67,23 @@ impl StartupReport {
     }
 }
 
-/// One machine's checkout pool of interchangeable service replicas.
-type ReplicaPools = BTreeMap<String, Vec<Mutex<TuneService>>>;
+/// Each served machine's one service, shared read-only by every batch
+/// worker.
+type Services = BTreeMap<String, TuneService>;
 
 /// The swappable snapshot: everything that changes together on a reload.
-/// Batches clone the `pools` Arc once at entry, so a swap mid-batch is
+/// Batches clone the `services` Arc once at entry, so a swap mid-batch is
 /// invisible to that batch (DESIGN.md §17).
 struct LiveState {
     registry: Arc<ModelRegistry>,
-    pools: Arc<ReplicaPools>,
+    services: Arc<Services>,
     generation: String,
 }
 
-/// The daemon's shared state: the swappable registry + replica-pool
-/// snapshot, plus the serving and degradation counters.
+/// The daemon's shared state: the swappable registry + services snapshot,
+/// plus the serving and degradation counters.
 pub struct ServeEngine {
     live: RwLock<LiveState>,
-    replicas: usize,
     workers: AtomicUsize,
     requests: AtomicU64,
     batches: AtomicU64,
@@ -116,14 +113,10 @@ fn grid_pipeline(model: &ModelDescriptor) -> GridPipeline {
     }
 }
 
-/// Restores and fit-checks every grid in `registry`, then builds the
-/// per-machine replica pools — the shared body of cold start and reload.
-fn build_pools(
-    registry: &ModelRegistry,
-    replicas: usize,
-    report: &mut StartupReport,
-) -> ReplicaPools {
-    let mut machines: ReplicaPools = BTreeMap::new();
+/// Restores and fit-checks every grid in `registry`, then restores one
+/// service per machine — the shared body of cold start and reload.
+fn build_services(registry: &ModelRegistry, report: &mut StartupReport) -> Services {
+    let mut machines = Services::new();
 
     for dataset in registry.datasets() {
         let Some(ds) = registry.load_dataset(dataset) else {
@@ -203,51 +196,38 @@ fn build_pools(
             ));
             continue;
         };
-        let mut pool = Vec::with_capacity(replicas);
-        for _ in 0..replicas {
-            match TuneService::restore(&ds, &settings, &grid1, &grid2, &s1.id, &s2.id) {
-                Ok(service) => pool.push(Mutex::new(service)),
-                Err(why) => {
-                    report.log(format!(
-                        "machine {}: replica restore failed: {why}",
-                        dataset.machine
-                    ));
-                    break;
-                }
+        match TuneService::restore(&ds, &settings, &grid1, &grid2, &s1.id, &s2.id) {
+            Ok(service) => {
+                report.log(format!(
+                    "machine {}: serving (time={}, edp={})",
+                    dataset.machine, s1.id, s2.id
+                ));
+                machines.insert(dataset.machine.clone(), service);
             }
-        }
-        if pool.len() == replicas {
-            report.log(format!(
-                "machine {}: serving with {} replica(s) (time={}, edp={})",
-                dataset.machine, replicas, s1.id, s2.id
-            ));
-            machines.insert(dataset.machine.clone(), pool);
+            Err(why) => report.log(format!(
+                "machine {}: service restore failed: {why}",
+                dataset.machine
+            )),
         }
     }
     machines
 }
 
 impl ServeEngine {
-    /// Cold start: restore every grid in the registry, then build the
-    /// replica pools. Serving zero machines is a valid (if useless) state —
+    /// Cold start: restore every grid in the registry, then one service
+    /// per machine. Serving zero machines is a valid (if useless) state —
     /// the daemon binary refuses it, the tests exercise it.
     pub fn start(registry: ModelRegistry, config: &EngineConfig) -> (ServeEngine, StartupReport) {
         let mut report = StartupReport::default();
-        let replicas = if config.replicas == 0 {
-            Threads::Auto.resolve()
-        } else {
-            config.replicas
-        };
-        let pools = build_pools(&registry, replicas, &mut report);
+        let services = build_services(&registry, &mut report);
         let generation = registry.generation().to_string();
 
         let engine = ServeEngine {
             live: RwLock::new(LiveState {
                 registry: Arc::new(registry),
-                pools: Arc::new(pools),
+                services: Arc::new(services),
                 generation,
             }),
-            replicas,
             workers: AtomicUsize::new(config.workers),
             requests: AtomicU64::new(0),
             batches: AtomicU64::new(0),
@@ -269,13 +249,13 @@ impl ServeEngine {
         self.live.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Machines with a ready replica pool (in the current snapshot).
+    /// Machines with a ready service (in the current snapshot).
     pub fn machines(&self) -> Vec<String> {
-        self.live().pools.keys().cloned().collect()
+        self.live().services.keys().cloned().collect()
     }
 
     /// The registry behind the current snapshot (`List`/`Describe` answer
-    /// from this; a reload swaps it together with the pools).
+    /// from this; a reload swaps it together with the services).
     pub fn registry(&self) -> Arc<ModelRegistry> {
         self.live().registry.clone()
     }
@@ -328,13 +308,13 @@ impl ServeEngine {
 
     /// Serves one batch: requests are partitioned by machine, each
     /// machine's slice is grouped by objective, and the groups fan out over
-    /// the worker pool with replica checkout — each group running as one
-    /// fused block-diagonal forward ([`TuneService::tune_batch`],
-    /// DESIGN.md §15). Responses come back in request order, bit-identical
-    /// to serving each request alone. Unknown machines get error responses;
-    /// nothing panics on client input. The replica-pool snapshot is taken
-    /// once at entry, so a concurrent reload never splits a batch across
-    /// two model generations (DESIGN.md §17).
+    /// the worker pool, all reading the machine's one service — each group
+    /// running as one fused block-diagonal forward
+    /// ([`TuneService::tune_batch`], DESIGN.md §15). Responses come back in
+    /// request order, bit-identical to serving each request alone. Unknown
+    /// machines get error responses; nothing panics on client input. The
+    /// services snapshot is taken once at entry, so a concurrent reload
+    /// never splits a batch across two model generations (DESIGN.md §17).
     pub fn tune_batch(&self, requests: &[TuneRequest]) -> Vec<TuneResponse> {
         self.requests
             .fetch_add(requests.len() as u64, Ordering::Relaxed);
@@ -342,12 +322,12 @@ impl ServeEngine {
         self.max_batch_seen
             .fetch_max(requests.len() as u64, Ordering::Relaxed);
         let threads = self.batch_threads();
-        let pools = self.live().pools.clone();
+        let services = self.live().services.clone();
 
         let mut settled: BTreeMap<usize, TuneResponse> = BTreeMap::new();
         let mut by_machine: BTreeMap<&str, Vec<(usize, &TuneRequest)>> = BTreeMap::new();
         for (i, request) in requests.iter().enumerate() {
-            match pools.contains_key(&request.machine) {
+            match services.contains_key(&request.machine) {
                 true => by_machine
                     .entry(request.machine.as_str())
                     .or_default()
@@ -368,23 +348,21 @@ impl ServeEngine {
             }
         }
         for (machine, entries) in by_machine {
-            let Some(pool) = pools.get(machine) else {
+            let Some(service) = services.get(machine) else {
                 // Unreachable (partitioned on the same snapshot above), but
                 // an unsettled slot degrades to a typed error, never a
                 // panic.
                 continue;
             };
             // Group by objective: requests sharing a committee fuse into one
-            // block-diagonal forward. Keys are `(0, power_idx)` for time and
-            // `(1, 0)` for EDP — BTreeMap order keeps dispatch deterministic.
-            let mut by_objective: BTreeMap<(usize, usize), Vec<(usize, &TuneRequest)>> =
+            // block-diagonal forward, in `TuneObjective`'s deterministic order.
+            let mut by_objective: BTreeMap<TuneObjective, Vec<(usize, &TuneRequest)>> =
                 BTreeMap::new();
             for (i, request) in entries {
-                let key = match request.objective {
-                    TuneObjective::Time { power_idx } => (0, power_idx),
-                    TuneObjective::Edp => (1, 0),
-                };
-                by_objective.entry(key).or_default().push((i, request));
+                by_objective
+                    .entry(request.objective)
+                    .or_default()
+                    .push((i, request));
             }
             let groups: Vec<Vec<(usize, &TuneRequest)>> = by_objective.into_values().collect();
             for group in &groups {
@@ -394,14 +372,13 @@ impl ServeEngine {
                 self.max_fused_batch
                     .fetch_max(group.len() as u64, Ordering::Relaxed);
             }
-            let group_results =
-                parallel_map_with_state(&groups, threads, pool, |group, service| {
-                    let bodies: Vec<(&KernelInput, TuneObjective)> = group
-                        .iter()
-                        .map(|(_, request)| (&request.kernel, request.objective))
-                        .collect();
-                    service.tune_batch(&bodies)
-                });
+            let group_results = parallel_map(&groups, threads, |group| {
+                let bodies: Vec<(&KernelInput, TuneObjective)> = group
+                    .iter()
+                    .map(|(_, request)| (&request.kernel, request.objective))
+                    .collect();
+                service.tune_batch(&bodies)
+            });
             for (group, results) in groups.iter().zip(group_results) {
                 for ((i, request), result) in group.iter().zip(results) {
                     settled.insert(
@@ -436,17 +413,17 @@ impl ServeEngine {
 
     /// Hot model reload (DESIGN.md §17): restores and fit-checks every grid
     /// of `registry` *off* the serving path, then swaps the
-    /// registry + pools + generation snapshot in one critical section.
-    /// Batches already running keep the pool Arc they cloned at entry and
-    /// finish undisturbed; the next batch serves the new grids.
+    /// registry + services + generation snapshot in one critical section.
+    /// Batches already running keep the services Arc they cloned at entry
+    /// and finish undisturbed; the next batch serves the new grids.
     pub fn reload(&self, registry: ModelRegistry) -> StartupReport {
         let mut report = StartupReport::default();
-        let pools = build_pools(&registry, self.replicas, &mut report);
+        let services = build_services(&registry, &mut report);
         let generation = registry.generation().to_string();
         {
             let mut live = self.live.write().unwrap_or_else(PoisonError::into_inner);
             live.registry = Arc::new(registry);
-            live.pools = Arc::new(pools);
+            live.services = Arc::new(services);
             live.generation = generation;
         }
         self.grids_loaded

@@ -3,8 +3,9 @@
 //! Tuning-as-a-service on top of the model registry (ISSUE 7, SERVING.md):
 //!
 //! * [`engine`] — registry-driven cold start (load + fit-check every cached
-//!   grid, build [`pnp_core::TuneService`] replica pools per machine) and
-//!   batched inference over the in-tree `pnp_openmp` thread pool.
+//!   grid, restore one [`pnp_core::TuneService`] per machine) and batched
+//!   inference over the in-tree `pnp_openmp` thread pool, every worker
+//!   sharing that one read-only service.
 //! * [`protocol`] — the length-prefixed JSON wire protocol: frame I/O plus
 //!   the [`protocol::Request`]/[`protocol::Response`] envelopes around
 //!   `pnp_core::serving`'s tune types.

@@ -160,10 +160,10 @@ fn offline_predictions(fx: &Fixture, requests: &[TuneRequest]) -> Vec<TunePredic
         .collect()
 }
 
-fn start_engine(replicas: usize, workers: usize) -> Arc<ServeEngine> {
+fn start_engine(workers: usize) -> Arc<ServeEngine> {
     let fx = fixture();
     let registry = ModelRegistry::open(Store::open(&fx.dir));
-    let (engine, report) = ServeEngine::start(registry, &EngineConfig { replicas, workers });
+    let (engine, report) = ServeEngine::start(registry, &EngineConfig { workers });
     // The cold start must have restored every grid in the store.
     assert_eq!(report.grids_loaded, 2, "{:?}", report.lines);
     assert_eq!(report.grids_skipped, 0, "{:?}", report.lines);
@@ -190,7 +190,7 @@ fn served_predictions_are_bit_identical_to_the_offline_path() {
     let requests = workload(&fx.ds);
     let offline = offline_predictions(fx, &requests);
 
-    let engine = start_engine(2, 2);
+    let engine = start_engine(2);
     let addr = spawn_server(engine, roomy_config(16));
     let mut client = Client::connect(addr).expect("connect");
     for (request, expected) in requests.iter().zip(&offline) {
@@ -223,7 +223,7 @@ fn served_predictions_are_bit_identical_to_the_offline_path() {
 fn batched_and_single_paths_agree_for_every_worker_count() {
     let fx = fixture();
     let requests = workload(&fx.ds);
-    let engine = start_engine(3, 1);
+    let engine = start_engine(1);
     let singles: Vec<_> = requests.iter().map(|r| engine.tune(r)).collect();
     for workers in [1usize, 2, 4] {
         engine.set_workers(workers);
@@ -242,8 +242,9 @@ fn batched_and_single_paths_agree_for_every_worker_count() {
 }
 
 /// ISSUE 8: the whole workload pipelined over one connection so the
-/// dispatcher drains it into fused objective groups — every daemon response
-/// must still match the offline single-graph path to the bit, and the fused
+/// dispatcher drains it into fused objective groups — at 1, 2 and 4 batch
+/// workers sharing the machine's one service, every daemon response must
+/// still match the offline single-graph path to the bit, and the fused
 /// counters must show block-diagonal batching actually happened.
 #[test]
 fn fused_daemon_batches_are_bit_identical_to_offline_predictions() {
@@ -251,46 +252,59 @@ fn fused_daemon_batches_are_bit_identical_to_offline_predictions() {
     let requests = workload(&fx.ds);
     let offline = offline_predictions(fx, &requests);
 
-    let engine = start_engine(2, 2);
+    let engine = start_engine(1);
     let addr = spawn_server(engine, roomy_config(requests.len().max(16)));
     let mut client = Client::connect(addr).expect("connect");
-    // Pipeline every request before reading a single response: the
-    // dispatcher sees them all queued and fuses per (machine, objective).
-    for request in &requests {
-        client
-            .send(&Request::Tune(request.clone()))
-            .expect("send tune");
-    }
-    let mut responses = Vec::with_capacity(requests.len());
-    for _ in &requests {
-        let Response::Tune(tune) = client.receive().expect("receive tune") else {
-            panic!("Tune must answer Tune");
-        };
-        responses.push(tune);
-    }
-    responses.sort_by_key(|t| t.id);
-    for (tune, (request, expected)) in responses.iter().zip(requests.iter().zip(&offline)) {
-        assert_eq!(tune.id, request.id);
-        let got = tune
-            .prediction
-            .as_ref()
-            .unwrap_or_else(|| panic!("request {} failed: {:?}", request.id, tune.error));
-        assert_eq!(got.class, expected.class, "request {}", request.id);
-        assert_eq!(got.point, expected.point, "request {}", request.id);
-        assert_eq!(
-            got.expected_gain.to_bits(),
-            expected.expected_gain.to_bits(),
-            "request {}",
-            request.id
-        );
+    let worker_counts = [1usize, 2, 4];
+    for workers in worker_counts {
+        assert!(matches!(
+            client
+                .request(&Request::SetWorkers { workers })
+                .expect("set workers"),
+            Response::Ok
+        ));
+        // Pipeline every request before reading a single response: the
+        // dispatcher sees them all queued and fuses per (machine, objective).
+        for request in &requests {
+            client
+                .send(&Request::Tune(request.clone()))
+                .expect("send tune");
+        }
+        let mut responses = Vec::with_capacity(requests.len());
+        for _ in &requests {
+            let Response::Tune(tune) = client.receive().expect("receive tune") else {
+                panic!("Tune must answer Tune");
+            };
+            responses.push(tune);
+        }
+        responses.sort_by_key(|t| t.id);
+        for (tune, (request, expected)) in responses.iter().zip(requests.iter().zip(&offline)) {
+            assert_eq!(tune.id, request.id);
+            let got = tune.prediction.as_ref().unwrap_or_else(|| {
+                panic!(
+                    "workers={workers} request {} failed: {:?}",
+                    request.id, tune.error
+                )
+            });
+            let at = format!("workers={workers} request {}", request.id);
+            assert_eq!(got.class, expected.class, "{at}");
+            assert_eq!(got.point, expected.point, "{at}");
+            assert_eq!(
+                got.expected_gain.to_bits(),
+                expected.expected_gain.to_bits(),
+                "{at}"
+            );
+        }
     }
 
     let Response::Stats(stats) = client.request(&Request::Stats).expect("stats") else {
         panic!("Stats must answer Stats");
     };
-    assert_eq!(stats.requests, requests.len() as u64);
-    // Every tune request reached a replica through a fused group...
-    assert_eq!(stats.fused_graphs, requests.len() as u64);
+    let sent = (worker_counts.len() * requests.len()) as u64;
+    assert_eq!(stats.requests, sent);
+    // Every tune request reached the machine's service through a fused
+    // group...
+    assert_eq!(stats.fused_graphs, sent);
     // ...and grouping actually fused: fewer groups than requests, with at
     // least one group carrying several graphs.
     assert!(
@@ -305,7 +319,7 @@ fn fused_daemon_batches_are_bit_identical_to_offline_predictions() {
 
 #[test]
 fn registry_and_control_surface_answer_over_the_wire() {
-    let engine = start_engine(1, 1);
+    let engine = start_engine(1);
     let addr = spawn_server(engine, roomy_config(8));
     let mut client = Client::connect(addr).expect("connect");
 
@@ -399,7 +413,7 @@ fn fast_fake_clock() -> Clock {
 #[test]
 fn expired_deadlines_are_typed_rejections_not_errors() {
     let fx = fixture();
-    let engine = start_engine(1, 1);
+    let engine = start_engine(1);
     let addr = spawn_server(
         engine.clone(),
         ServeConfig::new(4, usize::MAX, fast_fake_clock()),
@@ -456,7 +470,7 @@ fn expired_deadlines_are_typed_rejections_not_errors() {
 #[test]
 fn zero_queue_sheds_every_tune_request_with_typed_rejections() {
     let fx = fixture();
-    let engine = start_engine(1, 1);
+    let engine = start_engine(1);
     let addr = spawn_server(
         engine.clone(),
         ServeConfig::new(4, 0, Arc::new(Instant::now)),
@@ -506,7 +520,7 @@ fn accepted_requests_stay_bit_identical_under_saturating_load() {
     let requests = workload(&fx.ds);
     let offline = offline_predictions(fx, &requests);
 
-    let engine = start_engine(2, 2);
+    let engine = start_engine(2);
     let addr = spawn_server(
         engine.clone(),
         ServeConfig::new(1, 1, Arc::new(Instant::now)),
@@ -598,13 +612,7 @@ fn store_update_hot_reloads_without_dropping_inflight_requests() {
     train_scenario2_model_cached(&sky_ds, &fx.settings, false, Some(&sky_cache));
 
     let registry = ModelRegistry::open(Store::open(&serve_dir));
-    let (engine, report) = ServeEngine::start(
-        registry,
-        &EngineConfig {
-            replicas: 2,
-            workers: 2,
-        },
-    );
+    let (engine, report) = ServeEngine::start(registry, &EngineConfig { workers: 2 });
     assert_eq!(report.grids_loaded, 2, "{:?}", report.lines);
     assert_eq!(engine.machines(), vec!["haswell".to_string()]);
     let engine = Arc::new(engine);

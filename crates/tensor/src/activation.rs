@@ -19,6 +19,12 @@ macro_rules! simple_activation {
             pub fn new() -> Self {
                 Self { cached_input: None }
             }
+
+            /// Applies the activation without touching the backward cache.
+            pub fn infer(&self, input: &Tensor) -> Tensor {
+                let f: fn(f32) -> f32 = $fwd;
+                input.map(f)
+            }
         }
 
         impl Default for $name {
@@ -32,8 +38,7 @@ macro_rules! simple_activation {
                 if train {
                     self.cached_input = Some(input.clone());
                 }
-                let f: fn(f32) -> f32 = $fwd;
-                input.map(f)
+                self.infer(input)
             }
 
             fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -92,6 +97,12 @@ impl LeakyReLU {
             cached_input: None,
         }
     }
+
+    /// Applies the activation without touching the backward cache.
+    pub fn infer(&self, input: &Tensor) -> Tensor {
+        let s = self.slope;
+        input.map(|x| if x > 0.0 { x } else { s * x })
+    }
 }
 
 impl Default for LeakyReLU {
@@ -105,8 +116,7 @@ impl Layer for LeakyReLU {
         if train {
             self.cached_input = Some(input.clone());
         }
-        let s = self.slope;
-        input.map(|x| if x > 0.0 { x } else { s * x })
+        self.infer(input)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

@@ -37,16 +37,29 @@ impl Embedding {
         self.table.value.cols()
     }
 
-    /// Looks up a batch of token ids, producing an `(ids.len() x dim)` matrix.
+    /// Out-of-vocabulary ids clamped to the last row (the `<unk>` slot by
+    /// convention in `pnp-graph`).
+    fn clamp_ids(&self, ids: &[usize]) -> Vec<usize> {
+        let vs = self.vocab_size();
+        ids.iter().map(|&i| i.min(vs - 1)).collect()
+    }
+
+    /// Looks up a batch of token ids, producing an `(ids.len() x dim)` matrix,
+    /// without touching the backward cache: the inference half of
+    /// [`Embedding::lookup`], callable through `&self`.
+    pub fn infer(&self, ids: &[usize]) -> Tensor {
+        self.table.value.select_rows(&self.clamp_ids(ids))
+    }
+
+    /// Looks up a batch of token ids, producing an `(ids.len() x dim)` matrix;
+    /// with `train` the ids are cached for [`Embedding::backward_ids`].
     ///
     /// Out-of-vocabulary ids are clamped to the last row (the `<unk>` slot by
     /// convention in `pnp-graph`).
     pub fn lookup(&mut self, ids: &[usize], train: bool) -> Tensor {
-        let vs = self.vocab_size();
-        let clamped: Vec<usize> = ids.iter().map(|&i| i.min(vs - 1)).collect();
-        let out = self.table.value.select_rows(&clamped);
+        let out = self.infer(ids);
         if train {
-            self.cached_ids = Some(clamped);
+            self.cached_ids = Some(self.clamp_ids(ids));
         }
         out
     }

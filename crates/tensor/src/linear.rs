@@ -53,10 +53,10 @@ impl Linear {
     pub fn out_features(&self) -> usize {
         self.weight.value.cols()
     }
-}
 
-impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    /// Computes `X·W + b` without touching the backward cache: the
+    /// inference half of [`Layer::forward`], callable through `&self`.
+    pub fn infer(&self, input: &Tensor) -> Tensor {
         assert_eq!(
             input.cols(),
             self.in_features(),
@@ -64,12 +64,19 @@ impl Layer for Linear {
             self.in_features(),
             input.cols()
         );
-        if train {
-            self.cached_input = Some(input.clone());
-        }
         input
             .matmul(&self.weight.value)
             .add_row_broadcast(&self.bias.value)
+    }
+}
+
+impl Layer for Linear {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        let out = self.infer(input);
+        if train {
+            self.cached_input = Some(input.clone());
+        }
+        out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
