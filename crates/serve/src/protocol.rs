@@ -233,26 +233,47 @@ pub struct ServeStats {
     pub protocol: u32,
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame: the length prefix and the payload go
+/// to `w` in one `write_all`, then a flush, so on a socket the whole frame
+/// leaves in one segment and the peer never waits on a delayed ACK between
+/// the two halves (SERVING.md "The wire protocol"). A payload over
+/// [`MAX_FRAME`] is refused with an [`std::io::ErrorKind::InvalidInput`]
+/// error before anything is written.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    assert!(
-        payload.len() <= MAX_FRAME,
-        "outgoing frame exceeds MAX_FRAME"
-    );
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    if payload.len() > MAX_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "outgoing frame of {} bytes exceeds MAX_FRAME {MAX_FRAME}",
+                payload.len()
+            ),
+        ));
+    }
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
 /// Reads one length-prefixed frame. `Ok(None)` is a clean end-of-stream
-/// (EOF before any length byte); anything else incomplete is an error.
+/// (EOF before any length byte); anything else incomplete is an error. A
+/// signal that interrupts the wait for the first byte is retried, as
+/// `read_exact` retries every later one.
+///
+/// A frame takes three `read` calls on `r` (one length byte, the other
+/// three, the payload), so give it a [`std::io::BufReader`] around a
+/// socket: buffered, a frame usually costs one system call.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, String> {
     let mut len_bytes = [0u8; 4];
     let (first, rest) = len_bytes.split_at_mut(1);
-    match r.read(first) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) => return Err(format!("read length: {e}")),
+    loop {
+        match r.read(first) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(format!("read length: {e}")),
+        }
     }
     r.read_exact(rest)
         .map_err(|e| format!("read length: {e}"))?;
@@ -339,6 +360,79 @@ mod tests {
             Some(Response::Ok)
         ));
         assert!(read_message::<Response>(&mut cursor).unwrap().is_none());
+    }
+
+    /// A sink that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        let payload = br#"{"Tune":{"id":7}}"#;
+        let mut sink = CountingWriter::default();
+        write_frame(&mut sink, payload).unwrap();
+        assert_eq!(sink.writes, 1, "length prefix and payload in one write");
+        let mut expected = (payload.len() as u32).to_be_bytes().to_vec();
+        expected.extend_from_slice(payload);
+        assert_eq!(sink.bytes, expected);
+
+        let mut sink = CountingWriter::default();
+        write_message(&mut sink, &Response::Ok).unwrap();
+        assert_eq!(sink.writes, 1, "messages are framed the same way");
+    }
+
+    #[test]
+    fn oversized_outgoing_frames_are_errors_not_panics() {
+        let mut sink = CountingWriter::default();
+        let err = write_frame(&mut sink, &vec![b'x'; MAX_FRAME + 1]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert_eq!(sink.writes, 0, "nothing of a refused frame is written");
+    }
+
+    /// A reader whose first `read` is interrupted by a signal.
+    struct InterruptedOnce<R> {
+        interrupted: bool,
+        inner: R,
+    }
+
+    impl<R: Read> Read for InterruptedOnce<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_signal_between_frames_is_retried_not_a_protocol_error() {
+        let mut buf = Vec::new();
+        write_message(&mut buf, &Request::Ping).unwrap();
+        let mut reader = InterruptedOnce {
+            interrupted: false,
+            inner: Cursor::new(buf),
+        };
+        assert!(matches!(
+            read_message::<Request>(&mut reader).unwrap(),
+            Some(Request::Ping)
+        ));
+        assert!(read_message::<Request>(&mut reader).unwrap().is_none());
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! batch is served immediately, not held for a timer). Control requests
 //! (`List`, `Stats`, ...) are answered inline by the connection's reader.
 //! Each connection has a single writer thread; every response — tune or
-//! control — goes through it, so frames never interleave.
+//! control — goes through it, so frames never interleave. Sockets run with
+//! `TCP_NODELAY` and every frame is one write, so a response goes on the
+//! wire the moment it is ready; the reader is buffered, so a request frame
+//! usually costs one `read`.
 //!
 //! Under overload the daemon degrades by *refusing* work, never by
 //! computing it differently (DESIGN.md §17): a tune request that cannot
@@ -22,7 +25,7 @@
 use crate::engine::ServeEngine;
 use crate::protocol::{read_message, write_message, RejectReason, Request, Response};
 use pnp_core::serving::TuneRequest;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -242,6 +245,12 @@ pub fn serve(listener: TcpListener, engine: Arc<ServeEngine>, config: ServeConfi
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Every frame leaves in one write (`write_frame`); with Nagle off
+        // it goes on the wire at once instead of waiting on the client's
+        // delayed ACK of the previous segment.
+        if stream.set_nodelay(true).is_err() {
+            continue;
+        }
         let reader = stream;
         let Ok(writer) = reader.try_clone() else {
             continue;
@@ -252,7 +261,14 @@ pub fn serve(listener: TcpListener, engine: Arc<ServeEngine>, config: ServeConfi
         let stop_accept = stop.clone();
         let config = config.clone();
         thread::spawn(move || {
-            handle_streams(&reader, writer, &engine, &work_tx, &stop_conn, &config);
+            handle_streams(
+                BufReader::new(&reader),
+                writer,
+                &engine,
+                &work_tx,
+                &stop_conn,
+                &config,
+            );
             // A shutdown request must also unblock the accept loop.
             if stop_accept.load(Ordering::SeqCst) {
                 if let Some(addr) = local {
@@ -296,11 +312,12 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to a daemon.
+    /// Connects to a daemon, with `TCP_NODELAY` set so each request frame
+    /// goes on the wire as soon as it is written.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
-        Ok(Client {
-            stream: TcpStream::connect(addr)?,
-        })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Client { stream })
     }
 
     /// The peer address.

@@ -397,6 +397,32 @@ fn registry_and_control_surface_answer_over_the_wire() {
     ));
 }
 
+/// Sequential round trips must not stall on delayed ACKs: with the length
+/// prefix and the payload written separately on a Nagle socket, each ping
+/// waits on the peer's delayed ACK (~40 ms per side that splits its
+/// frames, so 50 pings take 2–4 s). One write per frame on `TCP_NODELAY`
+/// sockets makes it a few milliseconds in total, so the 1 s bound leaves
+/// a wide margin for slow hosts.
+#[test]
+fn sequential_round_trips_do_not_wait_on_delayed_acks() {
+    let engine = start_engine(1);
+    let addr = spawn_server(engine, roomy_config(8));
+    let mut client = Client::connect(addr).expect("connect");
+    let started = Instant::now();
+    for _ in 0..50 {
+        assert!(matches!(
+            client.request(&Request::Ping).expect("ping"),
+            Response::Ok
+        ));
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 sequential pings took {elapsed:?}"
+    );
+    let _ = client.request(&Request::Shutdown);
+}
+
 /// A clock that jumps 100 fake milliseconds on every reading, making
 /// queue-wait "time" deterministic: any request observed by the dispatcher
 /// after admission has aged at least 100 ms, while the whole test spans
